@@ -131,54 +131,67 @@ class Writer:
 
 
 class Reader:
-    """Consumes fields from a byte string, raising on truncation."""
+    """Consumes fields from a byte string, raising on truncation.
+
+    Fields decode in place with ``Struct.unpack_from`` at the current
+    offset: the only slices taken are the byte strings
+    :meth:`bytes_field` returns.
+    """
+
+    __slots__ = ("_data", "_pos")
 
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0
 
-    def _take(self, count: int) -> bytes:
-        end = self._pos + count
-        if end > len(self._data):
-            raise WireFormatError(
-                f"truncated message: wanted {count} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}"
-            )
-        chunk = self._data[self._pos : end]
-        self._pos = end
-        return chunk
+    def _truncated(self, count: int) -> WireFormatError:
+        return WireFormatError(
+            f"truncated message: wanted {count} bytes at offset {self._pos}, "
+            f"have {len(self._data) - self._pos}"
+        )
 
     def u8(self) -> int:
-        return _U8.unpack(self._take(1))[0]
+        return self.unpack(_U8)[0]
 
     def u16(self) -> int:
-        return _U16.unpack(self._take(2))[0]
+        return self.unpack(_U16)[0]
 
     def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
+        return self.unpack(_U32)[0]
 
     def u64(self) -> int:
-        return _U64.unpack(self._take(8))[0]
+        return self.unpack(_U64)[0]
 
     def f64(self) -> float:
-        return struct.unpack("!d", self._take(8))[0]
+        return self.unpack(_F64)[0]
 
     def boolean(self) -> bool:
         return self.u8() != 0
 
     def bytes_field(self) -> bytes:
-        return self._take(self.u16())
+        count = self.unpack(_U16)[0]
+        start = self._pos
+        end = start + count
+        if end > len(self._data):
+            raise self._truncated(count)
+        self._pos = end
+        return self._data[start:end]
 
     def u32_list(self) -> list[int]:
         n = self.u16()
         if n == 0:
             return []
-        return list(_vector_struct(n).unpack(self._take(4 * n)))
+        return list(self.unpack(_vector_struct(n)))
 
     def unpack(self, codec: struct.Struct) -> tuple:
         """Decode several fixed-width fields in one preallocated-Struct
         unpack call (the struct fast path mirroring :meth:`Writer.pack`)."""
-        return codec.unpack(self._take(codec.size))
+        pos = self._pos
+        end = pos + codec.size
+        if end > len(self._data):
+            raise self._truncated(codec.size)
+        self._pos = end
+        return codec.unpack_from(self._data, pos)
 
     def expect_end(self) -> None:
         """Raise unless the whole buffer has been consumed."""

@@ -15,7 +15,10 @@ plays two roles:
   every causal indication whose envelope matches a stream's topics it
   emits a :class:`~repro.svc.wire.ClientDeliver`, flow-controlled by
   the per-stream delivery window (over-window deliveries park until
-  the client's cumulative delivery ack).
+  the client's cumulative delivery ack).  A topic → streams index
+  finds the matching streams, and the ``(topic, payload)`` body is
+  encoded once per indication and matched topic, then joined to each
+  recipient's small header.
 
 Failover makes both roles transferable (PROTOCOL §14.7): the home
 role re-opens at a successor via the *negotiated resume handshake* —
@@ -29,8 +32,8 @@ carried, every frontend dedupes indications by publish identity: the
 group may process a copy twice, the fan-out never does.
 
 Frontends are sans-IO like the engine underneath: outbound PDUs
-accumulate in :attr:`Frontend.outbox` for the driver (the sharded
-tier, a test, a socket loop) to encode and carry.
+accumulate, already encoded, in :attr:`Frontend.outbox` for the driver
+(the sharded tier, a test, a socket loop) to carry.
 """
 
 from __future__ import annotations
@@ -41,15 +44,17 @@ from typing import Callable
 from ..core.message import UserMessage
 from ..core.service import UrcgcService
 from ..errors import FlowControlBlocked, ProtocolError
-from ..obs import Registry
+from ..net.wire import global_registry
+from ..obs import Counter, Registry
 from .envelope import Envelope
 from .wire import (
     ACK_DELIVER,
     ACK_PUBLISH,
     ClientAck,
-    ClientDeliver,
     ClientHello,
     ClientPublish,
+    deliver_body,
+    deliver_frame,
 )
 
 __all__ = ["HomeSession", "DeliveryStream", "Frontend"]
@@ -91,7 +96,8 @@ class DeliveryStream:
         #: Last delivery sequence the client cumulatively acked.
         self.acked = 0
         self.window = window
-        #: Deliveries withheld while the window is full.
+        #: Deliveries withheld while the window is full, with their
+        #: encoded :func:`~repro.svc.wire.deliver_body`.
         self.parked: deque[tuple[Envelope, bytes]] = deque()
         #: Stream generation; bumps when the stream re-anchors here.
         self.epoch = epoch
@@ -129,8 +135,18 @@ class Frontend:
         self._on_processed = on_processed
         self.homed: dict[int, HomeSession] = {}
         self.streams: dict[int, DeliveryStream] = {}
-        #: Outbound PDUs for the driver: ``(client_id, pdu)`` pairs.
-        self.outbox: list[tuple[int, object]] = []
+        #: Fan-out index: topic -> the streams holding it, by client id
+        #: in subscription order.
+        self._topic_streams: dict[bytes, dict[int, DeliveryStream]] = {}
+        #: Outbound encoded PDUs for the driver: ``(client_id, bytes)``.
+        self.outbox: list[tuple[int, bytes]] = []
+        # Per-delivery counters, bound once (no per-call label sorting).
+        if registry is not None:
+            self._delivered = registry.counter("svc.deliver", shard=shard)
+            self._parked = registry.counter("svc.deliver.parked", shard=shard)
+        else:
+            self._delivered = Counter()
+            self._parked = Counter()
         #: Envelopes this frontend injected and still awaits, by
         #: publish identity, in injection order (= stamp order for
         #: bridged traffic) — the salvage set if this member dies.
@@ -249,19 +265,15 @@ class Frontend:
             session.acked += 1
             advanced = True
         if advanced:
-            self.outbox.append(
-                (
-                    session.client_id,
-                    ClientAck(
-                        ACK_PUBLISH,
-                        session.client_id,
-                        0,
-                        session.acked,
-                        session.credit,
-                        resume_seq=session.last_seq,
-                    ),
-                )
+            ack = ClientAck(
+                ACK_PUBLISH,
+                session.client_id,
+                0,
+                session.acked,
+                session.credit,
+                resume_seq=session.last_seq,
             )
+            self.outbox.append((session.client_id, global_registry.encode(ack)))
 
     # ------------------------------------------------------------------
     # delivery role: subscriptions / fan-out / delivery acks
@@ -289,17 +301,27 @@ class Frontend:
         """
         stream = self.streams.get(client_id)
         if stream is None or replay:
+            if stream is not None:
+                self._unindex(client_id, stream.topics - topics)
             stream = DeliveryStream(
                 client_id, set(topics), window or self.deliver_window, epoch
             )
             self.streams[client_id] = stream
+            self._index(stream, stream.topics)
             self._count("svc.streams.opened", shard=self.shard)
             if replay:
                 self._count("svc.streams.reanchored", shard=self.shard)
                 for envelope in self.processed_log:
-                    self._fan_out(stream, envelope)
+                    matched = next(
+                        (t for t in envelope.topics if t in stream.topics), None
+                    )
+                    if matched is not None:
+                        self._fan_out(
+                            stream, envelope, deliver_body(matched, envelope.payload)
+                        )
         else:
             stream.topics |= topics
+            self._index(stream, topics)
             if window is not None:
                 stream.window = window
 
@@ -308,6 +330,19 @@ class Frontend:
         stream = self.streams.get(client_id)
         if stream is not None:
             stream.topics -= topics
+            self._unindex(client_id, topics)
+
+    def _index(self, stream: DeliveryStream, topics: set[bytes]) -> None:
+        for topic in topics:
+            self._topic_streams.setdefault(topic, {})[stream.client_id] = stream
+
+    def _unindex(self, client_id: int, topics: set[bytes]) -> None:
+        for topic in topics:
+            holders = self._topic_streams.get(topic)
+            if holders is not None:
+                holders.pop(client_id, None)
+                if not holders:
+                    del self._topic_streams[topic]
 
     def on_deliver_ack(self, ack: ClientAck) -> None:
         """Absorb a client's cumulative delivery ack; un-park fan-out.
@@ -335,8 +370,8 @@ class Frontend:
             )
         stream.acked = max(stream.acked, ack.ack_seq)
         while stream.parked and stream.unacked < stream.window:
-            envelope, topic = stream.parked.popleft()
-            self._emit_deliver(stream, envelope, topic)
+            envelope, body = stream.parked.popleft()
+            self._emit_deliver(stream, envelope, body)
 
     # ------------------------------------------------------------------
     # the causal indication path
@@ -366,43 +401,50 @@ class Frontend:
         self.processed_log.append(envelope)
         if envelope.bridged:
             self.bridge_log.append(envelope)
-        for stream in self.streams.values():
-            self._fan_out(stream, envelope)
+        # Each stream matches on the first of the envelope's topics it
+        # holds: walking the topics in order and skipping streams an
+        # earlier topic reached gives exactly that.
+        reached: set[int] = set()
+        for topic in envelope.topics:
+            holders = self._topic_streams.get(topic)
+            if not holders:
+                continue
+            body = deliver_body(topic, envelope.payload)
+            for client_id, stream in holders.items():
+                if client_id not in reached:
+                    reached.add(client_id)
+                    self._fan_out(stream, envelope, body)
 
-    def _fan_out(self, stream: DeliveryStream, envelope: Envelope) -> None:
-        matched = next((t for t in envelope.topics if t in stream.topics), None)
-        if matched is None:
-            return
+    def _fan_out(self, stream: DeliveryStream, envelope: Envelope, body: bytes) -> None:
         if stream.unacked >= stream.window:
-            stream.parked.append((envelope, matched))
-            self._count("svc.deliver.parked", shard=self.shard)
+            stream.parked.append((envelope, body))
+            self._parked.add()
         else:
-            self._emit_deliver(stream, envelope, matched)
+            self._emit_deliver(stream, envelope, body)
 
-    def _emit_deliver(self, stream: DeliveryStream, envelope: Envelope, topic: bytes) -> None:
+    def _emit_deliver(self, stream: DeliveryStream, envelope: Envelope, body: bytes) -> None:
         stream.deliver_seq += 1
         self.outbox.append(
             (
                 stream.client_id,
-                ClientDeliver(
+                deliver_frame(
+                    body,
                     stream.client_id,
                     self.shard,
                     stream.deliver_seq,
                     envelope.origin,
                     envelope.origin_seq,
-                    topic,
-                    envelope.payload,
-                    epoch=stream.epoch,
+                    stream.epoch,
                 ),
             )
         )
-        self._count("svc.deliver", shard=self.shard)
+        self._delivered.add()
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
 
-    def drain_outbox(self) -> list[tuple[int, object]]:
+    def drain_outbox(self) -> list[tuple[int, bytes]]:
         out, self.outbox = self.outbox, []
         return out
 

@@ -329,32 +329,42 @@ class ShardedService:
     def pump(self) -> int:
         """Shuttle pending client PDUs until none remain.
 
-        Every PDU is encoded and re-decoded through the global wire
-        registry, so the client tier exercises the same codecs a socket
-        deployment would.  Returns the number of PDUs moved.
+        Frontends hand over encoded PDUs; every one is decoded through
+        the global wire registry, as a socket client would, and the
+        client's replies are encoded and decoded again on the way
+        back.  Each drained outbox batch earns one cumulative delivery
+        ack per (client, shard) stream it touched — sound because acks
+        are cumulative and parking is decided when a delivery is
+        emitted.  Returns the number of PDUs moved.
         """
         moved = 0
         progress = True
         while progress:
             progress = False
             for frontend in list(self._live_frontends()):
-                for client_id, pdu in frontend.drain_outbox():
-                    self._to_client(client_id, self._wire(pdu))
-                    moved += 1
-                    progress = True
+                batch = frontend.drain_outbox()
+                if not batch:
+                    continue
+                progress = True
+                moved += len(batch)
+                # Streams that got a delivery, in first-delivery order.
+                touched: dict[tuple[int, int], None] = {}
+                for client_id, data in batch:
+                    self._to_client(client_id, global_registry.decode(data), touched)
+                for client_id, shard in touched:
+                    self._ack_stream(client_id, shard)
         self.pdus_moved += moved
         return moved
 
-    def _to_client(self, client_id: int, pdu: object) -> None:
+    def _to_client(
+        self, client_id: int, pdu: object, touched: dict[tuple[int, int], None]
+    ) -> None:
         session = self.sessions.get(client_id)
         if session is None:
             return  # session closed while deliveries were in flight
         if isinstance(pdu, ClientDeliver):
-            ack = session.on_deliver(pdu)
-            if ack is not None:
-                member = self._stream_member[(client_id, pdu.shard)]
-                if (pdu.shard, member) not in self._dead:
-                    self.frontends[pdu.shard][member].on_deliver_ack(self._wire(ack))
+            session.on_deliver(pdu)
+            touched[(client_id, pdu.shard)] = None
         elif isinstance(pdu, ClientAck) and pdu.kind == ACK_PUBLISH:
             for released in session.on_ack(pdu):
                 self._ingress(self._wire(released))
@@ -362,6 +372,14 @@ class ShardedService:
             raise ProtocolError("delivery ack addressed to a client")
         else:
             raise ProtocolError(f"unroutable client PDU {pdu!r}")
+
+    def _ack_stream(self, client_id: int, shard: int) -> None:
+        """Send a session's cumulative delivery ack for one stream to
+        the stream's delivery agent (lost if the agent died)."""
+        member = self._stream_member[(client_id, shard)]
+        if (shard, member) not in self._dead:
+            ack = self._wire(self.sessions[client_id].ack_delivers(shard))
+            self.frontends[shard][member].on_deliver_ack(ack)
 
     def _wire(self, pdu: object) -> object:
         """One wire round-trip (encode + decode) through the registry."""

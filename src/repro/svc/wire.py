@@ -17,6 +17,13 @@ tags (the client tier shares the LAN, so tags must not collide):
 All fixed-width headers encode through preallocated ``struct.Struct``
 codecs (the wire layer's struct fast path), so the hot client path
 does one pack/unpack call per PDU.
+
+A CLIENT_DELIVER splits into a per-recipient header and a ``(topic,
+payload)`` body that every subscriber of one publish shares: the
+fan-out encodes the body once with :func:`deliver_body` and joins it
+to each recipient's header with :func:`deliver_frame`.
+:meth:`ClientDeliver.encode_fields` uses the same body helper and
+header layout, so both paths produce the same bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ __all__ = [
     "ClientDeliver",
     "ClientAck",
     "KIND_CLIENT",
+    "deliver_body",
+    "deliver_frame",
 ]
 
 _TAG_CLIENT_HELLO = 19
@@ -63,6 +72,8 @@ _HELLO_HEAD = struct.Struct("!QHII")  # client_id, credit, resume_seq, acked_seq
 _PUB_HEAD = struct.Struct("!QI")  # client_id, client_seq
 # client_id, shard, deliver_seq, origin, origin_seq, epoch
 _DELIVER_HEAD = struct.Struct("!QHIQIH")
+# the type tag, then _DELIVER_HEAD's fields: a whole frame's header
+_DELIVER_FRAME_HEAD = struct.Struct("!B" + _DELIVER_HEAD.format[1:])
 # kind, client_id, shard, ack_seq, credit, resume_seq, epoch
 _ACK_HEAD = struct.Struct("!BQHIHIH")
 
@@ -208,8 +219,7 @@ class ClientDeliver:
             self.origin_seq,
             self.epoch,
         )
-        writer.bytes_field(self.topic)
-        writer.bytes_field(self.payload)
+        writer.raw(deliver_body(self.topic, self.payload))
 
     @classmethod
     def decode_fields(cls, reader: Reader) -> "ClientDeliver":
@@ -221,6 +231,40 @@ class ClientDeliver:
         return cls(
             client_id, shard, deliver_seq, origin, origin_seq, topic, payload, epoch
         )
+
+
+def deliver_body(topic: bytes, payload: bytes) -> bytes:
+    """The recipient-independent tail of a CLIENT_DELIVER: the
+    length-prefixed matched topic, then the length-prefixed payload."""
+    writer = Writer()
+    writer.bytes_field(topic)
+    writer.bytes_field(payload)
+    return writer.getvalue()
+
+
+def deliver_frame(
+    body: bytes,
+    client_id: int,
+    shard: int,
+    deliver_seq: int,
+    origin: int,
+    origin_seq: int,
+    epoch: int,
+) -> bytes:
+    """A complete tag-prefixed CLIENT_DELIVER: one recipient's header
+    joined to a shared :func:`deliver_body` — byte for byte what the
+    registry encodes for the equivalent :class:`ClientDeliver`.
+
+    The pack rejects values that overflow a field; the remaining
+    checks (nonzero sequence numbers, topic length) are the receiver's
+    decode, as for any untrusted PDU.
+    """
+    return (
+        _DELIVER_FRAME_HEAD.pack(
+            _TAG_CLIENT_DELIVER, client_id, shard, deliver_seq, origin, origin_seq, epoch
+        )
+        + body
+    )
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.message import UserMessage
 from repro.core.mid import Mid
 from repro.errors import FlowControlBlocked, ProtocolError
+from repro.net.wire import decode_message
 from repro.svc.envelope import Envelope
 from repro.svc.frontend import Frontend
 from repro.svc.wire import (
@@ -44,6 +45,15 @@ class _StubService:
 def build(member=1, **kw):
     service = _StubService(pid=member)
     return Frontend(0, member, service, **kw), service
+
+
+def drain(frontend):
+    """The outbox as a client sees it: ``(client_id, decoded PDU)``."""
+    out = []
+    for client_id, data in frontend.drain_outbox():
+        assert isinstance(data, bytes)
+        out.append((client_id, decode_message(data)))
+    return out
 
 
 class TestHomeRole:
@@ -115,9 +125,9 @@ class TestHomeRole:
             frontend.on_publish(ClientPublish(9, seq, (b"t",)))
         # seq 2 processed before seq 1: no ack yet
         frontend.on_processed_elsewhere(Envelope(9, 2, (b"t",)))
-        assert frontend.drain_outbox() == []
+        assert drain(frontend) == []
         frontend.on_processed_elsewhere(Envelope(9, 1, (b"t",)))
-        out = frontend.drain_outbox()
+        out = drain(frontend)
         assert len(out) == 1
         _, ack = out[0]
         assert ack.ack_seq == 2  # frontier jumped over the gap
@@ -156,14 +166,14 @@ class TestInjection:
         frontend.inject(env)  # salvaged re-injection
         service.indicate(env.to_bytes(), seq=2)
         assert seen == [env]  # the re-injection resolved
-        out = [d for _, d in frontend.drain_outbox()]
+        out = [d for _, d in drain(frontend)]
         assert len(out) == 1  # but only one delivery went out
         assert frontend.processed_log == [env]
 
     def test_non_envelope_payloads_ignored(self):
         frontend, service = build()
         service.indicate(b"\x01ordinary traffic")
-        assert frontend.drain_outbox() == []
+        assert drain(frontend) == []
 
     def test_bridged_envelopes_logged(self):
         frontend, service = build()
@@ -178,7 +188,7 @@ class TestDeliveryRole:
         frontend.subscribe(5, {b"a"})
         frontend.subscribe(6, {b"a", b"b"})
         service.indicate(Envelope(9, 1, (b"a",), b"x").to_bytes())
-        out = frontend.drain_outbox()
+        out = drain(frontend)
         assert {cid for cid, _ in out} == {5, 6}
         for _, deliver in out:
             assert isinstance(deliver, ClientDeliver)
@@ -189,10 +199,10 @@ class TestDeliveryRole:
         frontend.subscribe(5, {b"t"})
         for seq in range(1, 5):
             service.indicate(Envelope(9, seq, (b"t",), b"%d" % seq).to_bytes(), seq=seq)
-        out = frontend.drain_outbox()
+        out = drain(frontend)
         assert [d.deliver_seq for _, d in out] == [1, 2]  # window = 2
         frontend.on_deliver_ack(ClientAck(ACK_DELIVER, 5, 0, 2, 0))
-        out = frontend.drain_outbox()
+        out = drain(frontend)
         assert [d.deliver_seq for _, d in out] == [3, 4]
 
     def test_deliver_ack_validation(self):
@@ -210,7 +220,57 @@ class TestDeliveryRole:
         frontend.subscribe(5, {b"a"})
         frontend.subscribe(5, {b"b"})
         service.indicate(Envelope(9, 1, (b"b",), b"x").to_bytes())
-        assert len(frontend.drain_outbox()) == 1
+        assert len(drain(frontend)) == 1
+
+
+def fan_out(frontend, service, topics, seq):
+    """Indicate one envelope on ``topics``; returns ``{client: matched
+    topic}`` of the deliveries, after checking it against a scan of
+    every stream (each matches the first envelope topic it holds)."""
+    expected = {}
+    for client_id, stream in frontend.streams.items():
+        matched = next((t for t in topics if t in stream.topics), None)
+        if matched is not None:
+            expected[client_id] = matched
+    service.indicate(Envelope(9, seq, topics, b"x").to_bytes(), seq=seq)
+    got = {client_id: d.topic for client_id, d in drain(frontend)}
+    assert got == expected
+    return got
+
+
+class TestTopicIndex:
+    def test_widening_indexes_new_topics(self):
+        frontend, service = build()
+        frontend.subscribe(5, {b"a"})
+        frontend.subscribe(6, {b"b"})
+        assert fan_out(frontend, service, (b"c", b"b"), 1) == {6: b"b"}
+        frontend.subscribe(5, {b"c"})
+        assert fan_out(frontend, service, (b"c", b"b"), 2) == {5: b"c", 6: b"b"}
+        # One delivery per stream, on its first matching topic.
+        assert fan_out(frontend, service, (b"a", b"c"), 3) == {5: b"a"}
+
+    def test_unsubscribe_during_handoff_unindexes(self):
+        frontend, service = build()
+        frontend.subscribe(5, {b"a", b"b"})
+        frontend.subscribe(6, {b"a"})
+        frontend.unsubscribe_topics(5, {b"a"})
+        assert fan_out(frontend, service, (b"a",), 1) == {6: b"a"}
+        assert fan_out(frontend, service, (b"a", b"b"), 2) == {5: b"b", 6: b"a"}
+        frontend.unsubscribe_topics(5, {b"b"})
+        frontend.unsubscribe_topics(6, {b"a"})
+        assert fan_out(frontend, service, (b"a", b"b"), 3) == {}
+
+    def test_replay_reanchor_reindexes_current_topics(self):
+        frontend, service = build()
+        frontend.subscribe(5, {b"a", b"b"})
+        fan_out(frontend, service, (b"a",), 1)
+        # The re-anchored stream carries {b, c}: a is gone, c is new.
+        frontend.subscribe(5, {b"b", b"c"}, epoch=1, replay=True)
+        replayed = drain(frontend)
+        assert [d.origin_seq for _, d in replayed] == []  # seq 1 was on a only
+        assert fan_out(frontend, service, (b"a",), 2) == {}
+        assert fan_out(frontend, service, (b"c", b"b"), 3) == {5: b"c"}
+        assert frontend.streams[5].deliver_seq == 1
 
 
 class TestFailoverSurface:
@@ -232,7 +292,7 @@ class TestFailoverSurface:
         # A successor re-anchors the stream at epoch 1: the whole log
         # replays through the fresh stream in processing order.
         frontend.subscribe(5, {b"t"}, epoch=1, replay=True)
-        out = [d for _, d in frontend.drain_outbox()]
+        out = [d for _, d in drain(frontend)]
         assert [d.deliver_seq for d in out] == [1, 2, 3]
         assert [d.origin_seq for d in out] == [1, 2, 3]
         assert all(d.epoch == 1 for d in out)
@@ -256,9 +316,9 @@ class TestFailoverSurface:
         frontend.subscribe(5, {b"a", b"b"})
         frontend.unsubscribe_topics(5, {b"a"})
         service.indicate(Envelope(9, 1, (b"a",), b"x").to_bytes(), seq=1)
-        assert frontend.drain_outbox() == []
+        assert drain(frontend) == []
         service.indicate(Envelope(9, 2, (b"b",), b"y").to_bytes(), seq=2)
-        assert len(frontend.drain_outbox()) == 1
+        assert len(drain(frontend)) == 1
 
     def test_doubted_returns_injection_order_and_forget_clears(self):
         frontend, _ = build()
@@ -274,7 +334,7 @@ class TestFailoverSurface:
         frontend.on_hello(ClientHello(9, credit=8))
         frontend.on_publish(ClientPublish(9, 1, (b"t",)))
         frontend.on_processed_elsewhere(Envelope(9, 1, (b"t",)))
-        assert len(frontend.drain_outbox()) == 1
+        assert len(drain(frontend)) == 1
         # Failover replay can re-announce an already-acked publish.
         frontend.on_processed_elsewhere(Envelope(9, 1, (b"t",)))
-        assert frontend.drain_outbox() == []
+        assert drain(frontend) == []

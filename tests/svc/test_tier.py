@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.checkers import check_bridge_ordering, check_uniform_ordering
+from repro.core.config import UrcgcConfig
 from repro.errors import ConfigError, ProtocolError
 from repro.svc.envelope import Envelope
 from repro.svc.tier import ShardedService
@@ -31,8 +32,6 @@ class TestSessions:
             tier.publish(7, (b"t",), b"x")
 
     def test_config_members_mismatch_rejected(self):
-        from repro.core.config import UrcgcConfig
-
         with pytest.raises(ConfigError):
             ShardedService(2, 3, config=UrcgcConfig(n=4))
 
@@ -83,6 +82,32 @@ class TestSingleShardDelivery:
         assert sent_now.count(False) > 0  # some queued behind the window
         tier.run()
         assert session.acked == 8 and session.queued == 0
+
+
+class TestDeliveryWindow:
+    def test_parked_burst_unparks_through_batched_acks(self):
+        # A window of 4 and a burst of 12 publishes that the group
+        # processes within one subrun (generate_burst batches the
+        # ingress member's sends): the agent parks 8 deliveries, and
+        # only the pump's one cumulative ack per stream and batch can
+        # release them.
+        tier = build(deliver_window=4, config=UrcgcConfig(n=3, generate_burst=16))
+        tier.connect(1)
+        tier.connect(2)
+        tier.subscribe(2, (b"t",))
+        for i in range(12):
+            assert tier.publish(1, (b"t",), b"m%d" % i)
+        tier.run()
+        parked = sum(
+            int(metric)
+            for family, name, _, metric in tier.registry.walk()
+            if family == "counter" and name == "svc.deliver.parked"
+        )
+        assert parked > 0
+        got = tier.sessions[2].delivered
+        assert [d.deliver_seq for d in got] == list(range(1, 13))
+        assert [d.payload for d in got] == [b"m%d" % i for i in range(12)]
+        assert tier.settled()
 
 
 class TestBridgedDelivery:

@@ -1,9 +1,11 @@
 """Wire round-trips and validation for the client-tier PDUs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WireFormatError
-from repro.net.wire import decode_message, encode_message
+from repro.net.wire import decode_message, encode_message, global_registry
 from repro.svc.wire import (
     ACK_DELIVER,
     ACK_PUBLISH,
@@ -13,6 +15,8 @@ from repro.svc.wire import (
     ClientDeliver,
     ClientHello,
     ClientPublish,
+    deliver_body,
+    deliver_frame,
 )
 
 
@@ -79,3 +83,48 @@ class TestValidation:
         data = encode_message(ClientPublish(1, 1, (b"a",), b"payload"))
         with pytest.raises(WireFormatError):
             decode_message(data[:-3])
+
+
+U16 = st.integers(0, 0xFFFF)
+U32_POSITIVE = st.integers(1, 0xFFFF_FFFF)
+U64 = st.integers(0, 0xFFFF_FFFF_FFFF_FFFF)
+
+
+class TestSharedBodyFrame:
+    """The fan-out path (one body, a header per recipient) encodes the
+    same bytes as the registry encoding of the equivalent PDU."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        client_id=U64,
+        shard=U16,
+        deliver_seq=U32_POSITIVE,
+        origin=U64,
+        origin_seq=U32_POSITIVE,
+        topic=st.binary(min_size=1, max_size=MAX_TOPIC_LEN),
+        payload=st.binary(max_size=2048),
+        epoch=U16,
+    )
+    def test_frame_matches_registry_encoding(
+        self, client_id, shard, deliver_seq, origin, origin_seq, topic, payload, epoch
+    ):
+        pdu = ClientDeliver(
+            client_id, shard, deliver_seq, origin, origin_seq, topic, payload, epoch
+        )
+        frame = deliver_frame(
+            deliver_body(topic, payload),
+            client_id,
+            shard,
+            deliver_seq,
+            origin,
+            origin_seq,
+            epoch,
+        )
+        assert frame == global_registry.encode(pdu)
+        assert global_registry.decode(frame) == pdu
+
+    def test_one_body_serves_every_recipient(self):
+        body = deliver_body(b"room", b"hello")
+        for client_id, deliver_seq in ((5, 1), (6, 9), (7, 3)):
+            decoded = decode_message(deliver_frame(body, client_id, 2, deliver_seq, 9, 4, 1))
+            assert decoded == ClientDeliver(client_id, 2, deliver_seq, 9, 4, b"room", b"hello", 1)
