@@ -21,6 +21,7 @@ for p" are published.  This module provides:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Protocol
 
 from ..errors import CausalityViolationError
@@ -36,6 +37,8 @@ __all__ = [
     "SetDependencyTracker",
 ]
 
+_ORIGIN = itemgetter(0)
+
 
 def validate_deps(mid: Mid, deps: Iterable[Mid]) -> tuple[Mid, ...]:
     """Check structural sanity of a dependency list.
@@ -44,8 +47,20 @@ def validate_deps(mid: Mid, deps: Iterable[Mid]) -> tuple[Mid, ...]:
     itself; it cannot depend on a *later* message of its own origin
     (acyclicity within a sequence); and it may name each origin at most
     once (the intermediate interpretation bounds the list by ``n``).
+
+    A valid list is accepted in one pass: the set of named origins is
+    as long as the list exactly when no origin repeats, and then at
+    most one dependency shares ``mid``'s origin (in a generated list,
+    the first).  The per-dependency loop runs only to name a violation.
     """
     deps = tuple(deps)
+    origin, seq = mid
+    origins = set(map(_ORIGIN, deps))
+    if len(origins) == len(deps) and (
+        origin not in origins
+        or next(dep[1] for dep in deps if dep[0] == origin) < seq
+    ):
+        return deps
     seen_origins: set[ProcessId] = set()
     for dep in deps:
         if dep == mid:
@@ -258,6 +273,17 @@ class ContiguousDependencyTracker:
 
     def is_processed(self, mid: Mid) -> bool:
         return mid.seq <= self._frontier(mid.origin)
+
+    def missing(self, deps: Iterable[Mid]) -> set[Mid]:
+        """The members of ``deps`` not processed yet.
+
+        Without void gaps the frontier of an origin is its raw counter,
+        so the check reads ``_last`` directly.
+        """
+        if self._gaps:
+            return {dep for dep in deps if not self.is_processed(dep)}
+        last = self._last.get
+        return {dep for dep in deps if dep[1] > last(dep[0], NO_MESSAGE)}
 
     def mark_processed(self, mid: Mid) -> None:
         expected = self._frontier(mid.origin) + 1

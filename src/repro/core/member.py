@@ -476,12 +476,16 @@ class Member:
 
     def _handle_user_message(self, message: UserMessage, effects: list[Effect]) -> None:
         mid = message.mid
-        if self._is_discarded(mid) or any(self._dep_lost(d) for d in message.deps):
+        deps = message.deps
+        if self._is_discarded(mid) or (
+            # Only an open orphan mark can doom a dependency.
+            self._discarded_from and any(self._dep_lost(d) for d in deps)
+        ):
             return
         if self.already_seen(mid):
             self.duplicate_count += 1
             return
-        missing = {dep for dep in message.deps if not self.tracker.is_processed(dep)}
+        missing = self.tracker.missing(deps)
         predecessor = mid.predecessor
         if predecessor is not None and not self.tracker.is_processed(predecessor):
             # Sequence contiguity is an implicit dependency even if the

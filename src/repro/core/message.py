@@ -18,9 +18,13 @@ wire sizes rather than field counts.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, repeat
+from typing import Callable, cast
 
-from ..errors import WireFormatError
+from ..errors import CausalityViolationError, WireFormatError
 from ..net.wire import Reader, Writer, global_registry
 from ..types import ProcessId, SeqNo, SubrunNo
 from .causality import validate_deps
@@ -63,39 +67,59 @@ _TAG_GENERATE_BATCH = 17
 _TAG_HEARTBEAT = 18
 
 
-def _write_mid(writer: Writer, mid: Mid) -> None:
-    writer.u16(mid.origin)
-    writer.u32(mid.seq)
+#: Head of a USER message and of a GENERATE batch: an origin (u16), a
+#: seq (u32) and the count (u8) of the (u16, u32) mids that follow.
+_HEAD = struct.Struct("!HIB")
+
+#: ``0x00``/``0x01`` flag bytes to ASCII binary digits.
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+#: The eight flags of each bitmask byte, LSB first.
+_BYTE_FLAGS = tuple(tuple(bool(byte >> bit & 1) for bit in range(8)) for byte in range(256))
+
+#: The :class:`Mid` for an ``(origin, seq)`` pair whose fields are
+#: already checked, without the constructor's Python-level checks.
+_checked_mid = cast("Callable[[tuple[int, int]], Mid]", partial(tuple.__new__, Mid))
 
 
-def _read_mid(reader: Reader) -> Mid:
-    origin = reader.u16()
-    seq = reader.u32()
-    return Mid(ProcessId(origin), SeqNo(seq))
+def _write_deps(writer: Writer, head: Mid, deps: tuple[Mid, ...]) -> None:
+    """``head``, the dependency count, then every dependency mid."""
+    if len(deps) > 0xFF:
+        raise WireFormatError(f"{head} has {len(deps)} deps (max 255)")
+    writer.pack(_HEAD, head[0], head[1], len(deps))
+    writer.u16_u32_pairs(deps)
+
+
+def _read_deps(reader: Reader, count: int) -> tuple[Mid, ...]:
+    """``count`` dependency mids, without a per-mid constructor call:
+    the one bulk check rejects a zero seq as the constructor would (a
+    u16 origin cannot be negative)."""
+    if count == 0:
+        return ()
+    flat = reader.u16_u32_pairs(count)
+    if min(flat[1::2]) < 1:
+        raise WireFormatError(
+            "dependency list names seq 0 (sequence numbers start at 1)"
+        )
+    fields = iter(flat)
+    return tuple(map(_checked_mid, zip(fields, fields)))
 
 
 def _write_bitmask(writer: Writer, flags: tuple[bool, ...]) -> None:
-    writer.u16(len(flags))
-    byte = 0
-    for i, flag in enumerate(flags):
-        if flag:
-            byte |= 1 << (i % 8)
-        if i % 8 == 7:
-            writer.u8(byte)
-            byte = 0
-    if len(flags) % 8 != 0:
-        writer.u8(byte)
+    """u16 count, then the flags packed eight per byte, LSB first."""
+    count = len(flags)
+    writer.u16(count)
+    if count:
+        digits = bytes(map(bool, reversed(flags))).translate(_FLAG_DIGITS)
+        writer.raw(int(digits, 2).to_bytes((count + 7) // 8, "little"))
 
 
 def _read_bitmask(reader: Reader) -> tuple[bool, ...]:
     count = reader.u16()
-    flags: list[bool] = []
-    byte = 0
-    for i in range(count):
-        if i % 8 == 0:
-            byte = reader.u8()
-        flags.append(bool(byte & (1 << (i % 8))))
-    return tuple(flags)
+    if count == 0:
+        return ()
+    packed = reader.raw((count + 7) // 8)
+    return tuple(chain.from_iterable(map(_BYTE_FLAGS.__getitem__, packed)))[:count]
 
 
 @dataclass(frozen=True)
@@ -110,20 +134,16 @@ class UserMessage:
         validate_deps(self.mid, self.deps)
 
     def encode_fields(self, writer: Writer) -> None:
-        _write_mid(writer, self.mid)
-        if len(self.deps) > 0xFF:
-            raise WireFormatError(f"{self.mid} has {len(self.deps)} deps (max 255)")
-        writer.u8(len(self.deps))
-        for dep in self.deps:
-            _write_mid(writer, dep)
+        _write_deps(writer, self.mid, self.deps)
         writer.bytes_field(self.payload)
 
     @classmethod
     def decode_fields(cls, reader: Reader) -> "UserMessage":
-        mid = _read_mid(reader)
-        deps = tuple(_read_mid(reader) for _ in range(reader.u8()))
-        payload = reader.bytes_field()
-        return cls(mid, deps, payload)
+        origin, seq, count = reader.unpack(_HEAD)
+        if seq < 1:
+            raise WireFormatError(f"message seq {seq} (sequence numbers start at 1)")
+        mid = _checked_mid((origin, seq))
+        return cls(mid, _read_deps(reader, count), reader.bytes_field())
 
 
 @dataclass(frozen=True)
@@ -162,6 +182,13 @@ class GenerateBatch:
                     f"shared dependency {dep} names the batch origin "
                     f"{self.origin} (predecessors are implicit)"
                 )
+        # expand() runs each message's list through validate_deps, whose
+        # CausalityViolationError is no decode failure and would escape
+        # a receive loop: check the shared list (and origin) here.
+        try:
+            validate_deps(Mid(self.origin, self.first_seq), self.shared_deps)
+        except CausalityViolationError as exc:
+            raise WireFormatError(f"bad GenerateBatch: {exc}") from exc
 
     def __len__(self) -> int:
         return len(self.payloads)
@@ -170,7 +197,7 @@ class GenerateBatch:
         """The batched messages, exactly as generated."""
         messages = []
         for index, payload in enumerate(self.payloads):
-            mid = Mid(self.origin, SeqNo(self.first_seq + index))
+            mid = _checked_mid((self.origin, self.first_seq + index))
             predecessor = mid.predecessor
             deps: tuple[Mid, ...] = () if predecessor is None else (predecessor,)
             if self.ext_flags[index]:
@@ -179,24 +206,15 @@ class GenerateBatch:
         return tuple(messages)
 
     def encode_fields(self, writer: Writer) -> None:
-        writer.u16(self.origin)
-        writer.u32(self.first_seq)
-        if len(self.shared_deps) > 0xFF:
-            raise WireFormatError(
-                f"GenerateBatch has {len(self.shared_deps)} shared deps (max 255)"
-            )
-        writer.u8(len(self.shared_deps))
-        for dep in self.shared_deps:
-            _write_mid(writer, dep)
+        _write_deps(writer, Mid(self.origin, self.first_seq), self.shared_deps)
         _write_bitmask(writer, self.ext_flags)
         for payload in self.payloads:
             writer.bytes_field(payload)
 
     @classmethod
     def decode_fields(cls, reader: Reader) -> "GenerateBatch":
-        origin = ProcessId(reader.u16())
-        first_seq = SeqNo(reader.u32())
-        shared_deps = tuple(_read_mid(reader) for _ in range(reader.u8()))
+        origin, first_seq, count = reader.unpack(_HEAD)
+        shared_deps = _read_deps(reader, count)
         ext_flags = _read_bitmask(reader)
         payloads = tuple(reader.bytes_field() for _ in range(len(ext_flags)))
         return cls(origin, first_seq, shared_deps, ext_flags, payloads)
@@ -207,7 +225,7 @@ def _write_seq_vector(writer: Writer, values: tuple[SeqNo, ...]) -> None:
 
 
 def _read_seq_vector(reader: Reader) -> tuple[SeqNo, ...]:
-    return tuple(SeqNo(v) for v in reader.u32_list())
+    return cast("tuple[SeqNo, ...]", tuple(reader.u32_list()))
 
 
 def _write_decision(writer: Writer, decision: Decision) -> None:
@@ -216,21 +234,16 @@ def _write_decision(writer: Writer, decision: Decision) -> None:
     writer.u16(decision.coordinator)
     _write_bitmask(writer, decision.alive)
     writer.u16(len(decision.attempts))
-    for value in decision.attempts:
-        writer.u8(min(value, 0xFF))
+    writer.raw(bytes(map(min, decision.attempts, repeat(0xFF))))
     _write_seq_vector(writer, decision.stable)
     _write_bitmask(writer, decision.contributors)
     writer.boolean(decision.full_group)
     _write_seq_vector(writer, decision.max_processed)
-    writer.u16(len(decision.most_updated))
-    for pid in decision.most_updated:
-        writer.u16(pid)
+    writer.u16_list(decision.most_updated)
     _write_seq_vector(writer, decision.min_waiting)
     writer.u32(decision.full_group_count)
     # Rejoin extension (all empty without enable_rejoin: 6 bytes).
-    writer.u16(len(decision.joiners))
-    for pid in decision.joiners:
-        writer.u16(pid)
+    writer.u16_list(decision.joiners)
     _write_seq_vector(writer, decision.void_from)
     _write_seq_vector(writer, decision.join_boundary)
 
@@ -240,15 +253,15 @@ def _read_decision(reader: Reader) -> Decision:
     chain = reader.u32()
     coordinator = ProcessId(reader.u16())
     alive = _read_bitmask(reader)
-    attempts = tuple(reader.u8() for _ in range(reader.u16()))
+    attempts = tuple(reader.raw(reader.u16()))
     stable = _read_seq_vector(reader)
     contributors = _read_bitmask(reader)
     full_group = reader.boolean()
     max_processed = _read_seq_vector(reader)
-    most_updated = tuple(ProcessId(reader.u16()) for _ in range(reader.u16()))
+    most_updated = cast("tuple[ProcessId, ...]", reader.u16_list())
     min_waiting = _read_seq_vector(reader)
     full_group_count = reader.u32()
-    joiners = tuple(ProcessId(reader.u16()) for _ in range(reader.u16()))
+    joiners = cast("tuple[ProcessId, ...]", reader.u16_list())
     void_from = _read_seq_vector(reader)
     join_boundary = _read_seq_vector(reader)
     return Decision(

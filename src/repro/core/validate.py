@@ -84,18 +84,17 @@ def validate_message(message: object, n: int) -> str | None:
         problem = _check_mid(message.mid, n)
         if problem is not None:
             return problem
-        for dep in message.deps:
-            problem = _check_mid(dep, n)
-            if problem is not None:
-                return f"dep: {problem}"
+        # Mids order by origin first: the largest names the largest origin.
+        last = max(message.deps, default=None)
+        if last is not None and last.origin >= n:
+            return f"dep: mid origin {last.origin} >= n={n}"
         return None
     if isinstance(message, GenerateBatch):
         if message.origin >= n:
             return f"batch origin {message.origin} >= n={n}"
-        for dep in message.shared_deps:
-            problem = _check_mid(dep, n)
-            if problem is not None:
-                return f"shared dep: {problem}"
+        last = max(message.shared_deps, default=None)
+        if last is not None and last.origin >= n:
+            return f"shared dep: mid origin {last.origin} >= n={n}"
         return None
     if isinstance(message, RequestMessage):
         if message.sender >= n:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Type, TypeVar
+from itertools import chain
+from typing import Callable, Iterable, Protocol, Sequence, Type, TypeVar
 
 from ..errors import WireFormatError
 
@@ -37,17 +38,33 @@ _U32 = struct.Struct("!I")
 _U64 = struct.Struct("!Q")
 _F64 = struct.Struct("!d")
 
-#: Memoized row codecs for the hot fixed-width vectors (the REQUEST /
-#: DECISION ``last_processed`` / ``stable`` / … vectors are all u32
-#: rows of length n, so one preallocated Struct per n covers them).
-_VECTOR_STRUCTS: dict[int, struct.Struct] = {}
 
+def _row_codecs(row_format: Callable[[int], str]) -> Callable[[int], struct.Struct]:
+    """Memoized codecs for rows of ``n`` repeated fields, built from the
+    format string ``row_format(n)``.
 
-def _vector_struct(n: int) -> struct.Struct:
-    codec = _VECTOR_STRUCTS.get(n)
-    if codec is None:
-        codec = _VECTOR_STRUCTS[n] = struct.Struct(f"!{n}I")
+    The hot fixed-width vectors (the REQUEST / DECISION
+    ``last_processed`` / ``stable`` / … u32 rows, dependency lists of
+    (u16, u32) mids) repeat at a handful of lengths, so one
+    preallocated Struct per length covers them.
+    """
+    cache: dict[int, struct.Struct] = {}
+
+    def codec(n: int) -> struct.Struct:
+        found = cache.get(n)
+        if found is None:
+            found = cache[n] = struct.Struct(row_format(n))
+        return found
+
     return codec
+
+
+#: Single-field rows use struct's repeat count, which compiles to one
+#: code however long the row.  A (u16, u32) pair has no repeat form, so
+#: its rows spell out every pair; their count is a u8 (at most 255).
+_vector_struct = _row_codecs("!{}I".format)
+_u16_vector_struct = _row_codecs("!{}H".format)
+_pair_struct = _row_codecs(lambda n: "!" + "HI" * n)
 
 
 class Writer:
@@ -123,6 +140,23 @@ class Writer:
             self._buf += _vector_struct(n).pack(*vals)
         return self
 
+    def u16_list(self, values: Sequence[int]) -> "Writer":
+        """Length-prefixed (u16) list of u16, in one pack call."""
+        n = len(values)
+        if n > 0xFFFF:
+            raise WireFormatError(f"list too long: {n}")
+        self._buf += _U16.pack(n)
+        if n:
+            self._buf += _u16_vector_struct(n).pack(*values)
+        return self
+
+    def u16_u32_pairs(self, pairs: Sequence[Sequence[int]]) -> "Writer":
+        """``len(pairs)`` (u16, u32) pairs, no count prefix, in one pack
+        call (byte-identical to writing each pair's two fields)."""
+        if pairs:
+            self._buf += _pair_struct(len(pairs)).pack(*chain.from_iterable(pairs))
+        return self
+
     def getvalue(self) -> bytes:
         return bytes(self._buf)
 
@@ -168,7 +202,18 @@ class Reader:
     def boolean(self) -> bool:
         return self.u8() != 0
 
+    def raw(self, count: int) -> bytes:
+        """The next ``count`` bytes, unprefixed."""
+        start = self._pos
+        end = start + count
+        if end > len(self._data):
+            raise self._truncated(count)
+        self._pos = end
+        return self._data[start:end]
+
     def bytes_field(self) -> bytes:
+        # Not a call to raw(): this is the hottest field of the service
+        # tier's frames, and the call would cost more than the slice.
         count = self.unpack(_U16)[0]
         start = self._pos
         end = start + count
@@ -181,7 +226,36 @@ class Reader:
         n = self.u16()
         if n == 0:
             return []
-        return list(self.unpack(_vector_struct(n)))
+        return list(self._rows(_vector_struct, n, 4))
+
+    def u16_list(self) -> tuple[int, ...]:
+        n = self.u16()
+        if n == 0:
+            return ()
+        return self._rows(_u16_vector_struct, n, 2)
+
+    def u16_u32_pairs(self, count: int) -> tuple[int, ...]:
+        """``count`` (u16, u32) pairs as one flat tuple
+        ``(first0, second0, first1, second1, …)``, in one unpack call."""
+        if count == 0:
+            return ()
+        return self._rows(_pair_struct, count, 6)
+
+    def _rows(
+        self, codecs: Callable[[int], struct.Struct], count: int, row_size: int
+    ) -> tuple:
+        """``count`` rows of ``row_size`` bytes in one unpack call.
+
+        The length is checked before the row codec is looked up: the
+        count comes off the wire, and a forged one must not build (and
+        cache) a codec for a row the datagram does not hold.
+        """
+        pos = self._pos
+        end = pos + count * row_size
+        if end > len(self._data):
+            raise self._truncated(count * row_size)
+        self._pos = end
+        return codecs(count).unpack_from(self._data, pos)
 
     def unpack(self, codec: struct.Struct) -> tuple:
         """Decode several fixed-width fields in one preallocated-Struct

@@ -1,5 +1,7 @@
 """Unit tests for the causal-relation bookkeeping (Definition 3.1)."""
 
+import random
+
 import pytest
 
 from repro.core.causality import (
@@ -37,6 +39,26 @@ class TestValidateDeps:
 
     def test_empty_deps_pass(self):
         assert validate_deps(m(0, 1), []) == ()
+
+    def test_accepts_exactly_the_valid_lists(self):
+        # The one-pass acceptance must agree with the rules stated per
+        # dependency: no repeated origin, own-origin deps strictly older.
+        rng = random.Random(7)
+        for _ in range(2000):
+            mid = m(rng.randrange(4), rng.randint(1, 6))
+            deps = [
+                m(rng.randrange(4), rng.randint(1, 6))
+                for _ in range(rng.randint(0, 5))
+            ]
+            origins = [dep.origin for dep in deps]
+            valid = len(set(origins)) == len(origins) and all(
+                dep.seq < mid.seq for dep in deps if dep.origin == mid.origin
+            )
+            if valid:
+                assert validate_deps(mid, deps) == tuple(deps)
+            else:
+                with pytest.raises(CausalityViolationError):
+                    validate_deps(mid, deps)
 
 
 class TestCausalContext:
@@ -161,6 +183,31 @@ class TestContiguousTracker:
         tracker.mark_processed(m(0, 1))
         tracker.mark_processed(m(2, 1))
         assert tracker.snapshot() == {ProcessId(0): 1, ProcessId(2): 1}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_missing_matches_is_processed(self, seed):
+        rng = random.Random(seed)
+        for trial in range(200):
+            tracker = ContiguousDependencyTracker()
+            for origin in range(4):
+                for seq in range(1, rng.randint(0, 6) + 1):
+                    tracker.mark_processed(m(origin, seq))
+            # Half the trials register void gaps: some reachable from
+            # the frontier (credited), some beyond a hole (not yet).
+            if trial % 2:
+                for _ in range(rng.randint(1, 4)):
+                    origin = ProcessId(rng.randrange(4))
+                    first = SeqNo(rng.randint(1, 12))
+                    tracker.add_gap(origin, first, SeqNo(first + rng.randint(0, 3)))
+                origin = ProcessId(rng.randrange(4))
+                tracker.mark_processed(m(origin, tracker.last_processed(origin) + 1))
+            for _ in range(10):
+                deps = [
+                    m(rng.randrange(5), rng.randint(1, 18))
+                    for _ in range(rng.randint(0, 6))
+                ]
+                expected = {d for d in deps if not tracker.is_processed(d)}
+                assert tracker.missing(deps) == expected
 
 
 class TestSetTracker:

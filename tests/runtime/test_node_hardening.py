@@ -11,6 +11,8 @@ from repro.runtime.lan import AsyncLan
 from repro.runtime.node import AsyncGroup
 from repro.types import ProcessId, SeqNo
 
+from ..net.test_decode_hardening import duplicate_origin_batch
+
 
 def _run(coro):
     return asyncio.run(coro)
@@ -35,6 +37,30 @@ def test_garbage_and_forged_datagrams_do_not_kill_the_receiver():
                 lambda: group.nodes[target].decode_errors >= 2, timeout=5.0
             )
             # The node survived both and the group still makes progress.
+            group.nodes[ProcessId(1)].submit(b"after")
+            await group.wait_until(group.quiescent, timeout=10.0)
+            delivered = [m.payload for m in group.nodes[target].delivered]
+            assert b"after" in delivered
+        finally:
+            await group.stop()
+
+    _run(main())
+
+
+def test_batch_naming_an_origin_twice_does_not_kill_the_receiver():
+    async def main() -> None:
+        lan = AsyncLan()
+        group = AsyncGroup(UrcgcConfig(n=3, K=2), lan=lan, round_interval=0.005)
+        group.start()
+        try:
+            target = ProcessId(0)
+            lan.sendto(
+                ProcessId(1), UnicastAddress(target), duplicate_origin_batch()
+            )
+            await group.wait_until(
+                lambda: group.nodes[target].decode_errors >= 1, timeout=5.0
+            )
+            # The receive loop is still running: later traffic arrives.
             group.nodes[ProcessId(1)].submit(b"after")
             await group.wait_until(group.quiescent, timeout=10.0)
             delivered = [m.payload for m in group.nodes[target].delivered]
