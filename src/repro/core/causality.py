@@ -259,6 +259,12 @@ class ContiguousDependencyTracker:
         kept.sort()
         self._gaps[origin] = kept
 
+    @property
+    def has_gaps(self) -> bool:
+        """Is any void range registered?  Without one, every origin's
+        frontier is its raw last-processed seq."""
+        return bool(self._gaps)
+
     def gaps(self) -> dict[ProcessId, tuple[tuple[SeqNo, SeqNo], ...]]:
         """Copy of the registered void ranges, for snapshotting."""
         return {origin: tuple(gaps) for origin, gaps in self._gaps.items() if gaps}

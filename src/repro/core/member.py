@@ -511,6 +511,8 @@ class Member:
             self._recovery_baseline.pop(current.mid.origin, None)
             effects.append(Deliver(current))
             queue.extend(self.waiting.notify_processed(current.mid))
+            if not self.tracker.has_gaps:
+                continue
             # If this processing carried the frontier across a void gap
             # (rejoin extension), the void seqs count as processed too:
             # release anything waiting on them.

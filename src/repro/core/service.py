@@ -83,9 +83,19 @@ class UrcgcService:
         self._pending: deque[RequestHandle] = deque()
         self.delivered: list[UserMessage] = []
         self.confirmed: list[RequestHandle] = []
+        #: Orphan discard: ``discarded_mids`` are the destroyed waiting
+        #: messages, ``lost_mids`` the lost messages they depended on.
         self.discarded_mids: list[Mid] = []
+        self.lost_mids: list[Mid] = []
         #: Every membership change observed, in order.
         self.membership_changes: list[MembershipChange] = []
+
+    def rebind(self, member: Member, delivered: list[UserMessage]) -> None:
+        """Serve a recovered incarnation: its replayed delivered log
+        replaces this one, and requests the crash lost never confirm."""
+        self.member = member
+        self.delivered = delivered
+        self._pending.clear()
 
     def set_indication_handler(self, handler: IndicationHandler | None) -> None:
         """Install (or clear) the *primary* urcgc.data.Ind callback."""
@@ -183,6 +193,7 @@ class UrcgcService:
                     self._on_leave(effect.reason)
             elif isinstance(effect, Discarded):
                 self.discarded_mids.extend(effect.discarded)
+                self.lost_mids.append(effect.lost)
             elif isinstance(effect, MembershipChange):
                 self.membership_changes.append(effect)
                 if self._on_membership is not None:

@@ -4,46 +4,31 @@
 per process, attaches each to the datagram network through its own
 :class:`~repro.net.transport.MulticastTransport` entity (the Section 5
 stack: urcgc entity over a t-SAP), drives rounds with the
-:class:`~repro.sim.rounds.RoundScheduler`, executes engine effects, and
-collects every metric the paper's evaluation reports — end-to-end
-delays, control traffic, history and waiting-list occupancy.
+:class:`~repro.sim.rounds.RoundScheduler`, runs each member's effects
+through its :class:`~repro.core.driver.MemberDriver`, and collects
+every metric the paper's evaluation reports — end-to-end delays,
+control traffic, history and waiting-list occupancy.
 """
 
 from __future__ import annotations
 
-import time
-
 from ..analysis.delay import DeliveryLog
-from ..core.batcher import Batcher, expand_message
+from ..core.batcher import expand_message
 from ..core.config import UrcgcConfig
-from ..core.effects import (
-    Confirm,
-    DecisionApplied,
-    Deliver,
-    Discarded,
-    Effect,
-    Left,
-    SuspicionChange,
-)
+from ..core.driver import MemberDriver, settled
+from ..core.effects import SuspicionChange
 from ..core.member import Member
-from ..core.message import (
-    DecisionMessage,
-    GenerateBatch,
-    RequestMessage,
-    UserMessage,
-)
 from ..core.service import UrcgcService
-from ..core.validate import validate_message
 from ..errors import WireFormatError
 from ..net.addressing import BROADCAST_GROUP
 from ..net.faults import FaultPlan
 from ..net.network import DatagramNetwork
 from ..net.transport import MulticastTransport
-from ..net.wire import BatchFrame, decode_message, encode_message
+from ..net.wire import decode_message
 from ..obs import NULL_RECORDER, Recorder, write_jsonl
 from ..sim.kernel import Kernel
 from ..sim.rounds import RoundScheduler
-from ..storage import GroupStorage, NodeStorage, snapshot_of
+from ..storage import GroupStorage
 from ..types import ProcessId, Time
 from ..workloads.generators import NullWorkload, Workload
 
@@ -116,29 +101,12 @@ class SimCluster:
         self.workload: Workload = workload or NullWorkload()
         self.scheduler = RoundScheduler(self.kernel, max_rounds=max_rounds)
         self.delivery_log = DeliveryLog()
-        self.members: list[Member] = []
-        self.services: list[UrcgcService] = []
-        self.transports: list[MulticastTransport] = []
-        self._quiescent_at: Time | None = None
         self.storage = storage
-        #: Datagrams dropped by the hardened decode path (malformed or
-        #: semantically out-of-range PDUs), cluster-wide.
-        self.decode_errors = 0
-        #: Batch-expanded duplicates suppressed before the engine.
-        self.dup_suppressed = 0
-        #: Suspicion transitions reported by members' failure
-        #: detectors, as (pid, effect) pairs in occurrence order.
-        self.suspicion_events: list[tuple[ProcessId, SuspicionChange]] = []
-        #: Per-member delivery logs, kept only when storage is enabled
-        #: (snapshots serialize them).
-        self.delivered: list[list[UserMessage]] | None = (
-            [[] for _ in range(config.n)] if storage is not None else None
-        )
-
+        self._quiescent_at: Time | None = None
+        #: One effect pipeline per member (see :mod:`repro.core.driver`).
+        self.drivers: list[MemberDriver] = []
         for i in range(config.n):
             pid = ProcessId(i)
-            member = Member(pid, config)
-            service = UrcgcService(member)
             transport = MulticastTransport(
                 self.kernel,
                 self.network,
@@ -148,25 +116,22 @@ class SimCluster:
                 mtu=mtu,
             )
             self.network.join(BROADCAST_GROUP, pid)
-            self.members.append(member)
-            self.services.append(service)
-            self.transports.append(transport)
-
-        #: Per-member wire batchers (None when batching is off): the
-        #: bookkeeping in ``_execute`` always sees the original sends;
-        #: only the transmission path goes through ``pack``.
-        self._batchers: list[Batcher] | None = (
-            [
-                Batcher(
-                    config.batching,
-                    registry=self.kernel.metrics if self._obs else None,
-                    clock=time.perf_counter if self._obs else None,
+            self.drivers.append(
+                MemberDriver(
+                    pid,
+                    config,
+                    transmit=lambda dst, data, kind, t=transport: t.t_data_rq(
+                        dst, data, kind=kind
+                    ),
+                    clock=lambda: self.kernel.now,
+                    recorder=self.recorder,
+                    storage=storage.node(pid) if storage is not None else None,
+                    delivery_log=self.delivery_log,
+                    trace=self.kernel.trace,
                 )
-                for _ in range(config.n)
-            ]
-            if config.batching is not None
-            else None
-        )
+            )
+        self.members: list[Member] = [d.member for d in self.drivers]
+        self.services: list[UrcgcService] = [d.service for d in self.drivers]
 
         self.scheduler.subscribe(self._on_round)
         self.scheduler.start()
@@ -178,6 +143,23 @@ class SimCluster:
     @property
     def now(self) -> Time:
         return self.kernel.now
+
+    @property
+    def decode_errors(self) -> int:
+        """Datagrams dropped by the hardened decode path (malformed or
+        semantically out-of-range PDUs), cluster-wide."""
+        return sum(d.decode_errors for d in self.drivers)
+
+    @property
+    def dup_suppressed(self) -> int:
+        """Batch-expanded duplicates suppressed before the engine."""
+        return sum(d.dup_suppressed for d in self.drivers)
+
+    @property
+    def suspicion_events(self) -> list[tuple[ProcessId, SuspicionChange]]:
+        """Suspicion transitions reported by members' failure detectors,
+        as (pid, effect) pairs, each member's in occurrence order."""
+        return [(d.pid, e) for d in self.drivers for e in d.suspicion_events]
 
     def is_active(self, pid: ProcessId) -> bool:
         """Active = not crashed and not left (the paper's group)."""
@@ -195,16 +177,7 @@ class SimCluster:
         finished = getattr(self.workload, "finished", None)
         if finished is not None and not finished(self.scheduler.current_round):
             return False
-        active = self.active_pids()
-        if not active:
-            return True
-        vectors = set()
-        for pid in active:
-            member = self.members[pid]
-            if member.pending_submissions or member.waiting_length:
-                return False
-            vectors.add(member.last_processed_vector())
-        return len(vectors) == 1
+        return settled(self.members[pid] for pid in self.active_pids())
 
     @property
     def quiescent_at(self) -> Time | None:
@@ -298,20 +271,13 @@ class SimCluster:
         for pid, payload in self.workload.submissions(round_no):
             if self.is_active(pid):
                 self.services[pid].data_rq(payload)
-        for i in range(self.config.n):
-            pid = ProcessId(i)
-            if not self.is_active(pid):
-                continue
-            effects = self.members[i].on_round(round_no)
-            self._execute(pid, effects)
+        for driver in self.drivers:
+            if self.is_active(driver.pid):
+                driver.tick(round_no)
         self._sample_metrics(now, round_no)
         if self._quiescent_at is None and round_no > 0 and self.quiescent():
-            has_pending = any(
-                self.members[pid].pending_submissions for pid in self.active_pids()
-            )
-            if not has_pending:
-                self._quiescent_at = now
-                self.kernel.trace.emit(now, "cluster.quiescent", None, round=round_no)
+            self._quiescent_at = now
+            self.kernel.trace.emit(now, "cluster.quiescent", None, round=round_no)
 
     def _sample_metrics(self, now: Time, round_no: int) -> None:
         metrics = self.kernel.metrics
@@ -337,145 +303,6 @@ class SimCluster:
         except WireFormatError:
             # Malformed bytes (bad tag, truncated vector, garbage) are
             # a loss at this endpoint, never a crash of the simulation.
-            self._count_decode_error(pid, "parse")
+            self.drivers[pid].decode_error("parse")
             return
-        batched = isinstance(decoded, (BatchFrame, GenerateBatch))
-        member = self.members[pid]
-        for message in expanded:
-            if member.has_left:
-                break
-            problem = validate_message(message, self.config.n)
-            if problem is not None:
-                # Structurally valid but semantically out of range
-                # (forged vector, member index >= n): drop the PDU.
-                self._count_decode_error(pid, "range")
-                continue
-            if (
-                batched
-                and isinstance(message, UserMessage)
-                and member.already_seen(message.mid)
-            ):
-                # A duplicated batch frame re-expands every sub-message;
-                # suppress the copies once here so duplication x
-                # batching is not multiply-counted by the engine.
-                self.dup_suppressed += 1
-                if self._obs:
-                    self.kernel.metrics.count("batch.dup_suppressed", node=int(pid))
-                continue
-            effects = member.on_message(message)
-            self._execute(pid, effects)
-
-    def _count_decode_error(self, pid: ProcessId, reason: str) -> None:
-        self.decode_errors += 1
-        if self._obs:
-            self.kernel.metrics.count(
-                "net.decode_error", node=int(pid), reason=reason
-            )
-
-    def _node_storage(self, pid: ProcessId) -> "NodeStorage | None":
-        if self.storage is None:
-            return None
-        node_storage = self.storage.node(pid)
-        if self._obs and node_storage._registry is None:
-            node_storage.bind_registry(self.kernel.metrics)
-        return node_storage
-
-    def _execute(self, pid: ProcessId, effects: list[Effect]) -> None:
-        now = self.kernel.now
-        node_storage = self._node_storage(pid)
-        sends = self.services[pid].dispatch(effects)
-        for effect in effects:
-            if isinstance(effect, Deliver):
-                self.delivery_log.on_processed(effect.message.mid, pid, now)
-                if self._obs:
-                    self.recorder.processed(effect.message.mid, node=pid, time=now)
-                if self.delivered is not None:
-                    self.delivered[pid].append(effect.message)
-                if (
-                    node_storage is not None
-                    and effect.message.mid.origin != pid
-                ):
-                    node_storage.log_processed(effect.message)
-            elif isinstance(effect, DecisionApplied):
-                if self._obs:
-                    self.recorder.decision(
-                        int(effect.decision.number), node=pid, applied=True, time=now
-                    )
-                if node_storage is not None:
-                    node_storage.log_decision(effect.decision)
-            elif isinstance(effect, Discarded):
-                # The lost message is destroyed along with its
-                # dependents: the "or none of them" branch of atomicity.
-                self.delivery_log.on_discarded((effect.lost, *effect.discarded))
-                if self._obs:
-                    self.recorder.discarded(
-                        effect.lost, node=pid, count=1 + len(effect.discarded), time=now
-                    )
-                self.kernel.trace.emit(
-                    now, "member.discarded", pid,
-                    lost=effect.lost, count=len(effect.discarded),
-                )
-            elif isinstance(effect, SuspicionChange):
-                self.suspicion_events.append((pid, effect))
-                if self._obs:
-                    self.recorder.suspect(
-                        effect.pid,
-                        suspected=effect.suspected,
-                        node=int(pid),
-                        reason=effect.reason,
-                        time=now,
-                    )
-                    self.kernel.metrics.count(
-                        "fd.suspect" if effect.suspected else "fd.unsuspect",
-                        node=int(pid),
-                    )
-                self.kernel.trace.emit(
-                    now, "member.suspect", pid,
-                    target=int(effect.pid), suspected=effect.suspected,
-                )
-            elif isinstance(effect, Left):
-                self.kernel.trace.emit(now, "member.left", pid, reason=effect.reason)
-            elif isinstance(effect, Confirm):
-                self.kernel.trace.emit(now, "member.confirm", pid, mid=effect.mid)
-        for send in sends:
-            message = send.message
-            if isinstance(message, UserMessage) and message.mid.origin == pid:
-                self.delivery_log.on_generated(message.mid, now)
-                if self._obs:
-                    self.recorder.generated(
-                        message.mid, message.deps, node=pid, time=now
-                    )
-                if node_storage is not None:
-                    # Log-before-send, as in the live runtime.
-                    node_storage.log_generated(message)
-            elif isinstance(message, RequestMessage):
-                if self._obs:
-                    self.recorder.request(int(message.subrun), node=pid, time=now)
-            elif isinstance(message, DecisionMessage):
-                decision = message.decision
-                if self._obs:
-                    self.recorder.decision(int(decision.number), node=pid, time=now)
-                self.kernel.trace.emit(
-                    now,
-                    "decision.broadcast",
-                    pid,
-                    number=int(decision.number),
-                    chain=decision.chain,
-                    full_group=decision.full_group,
-                    alive=sum(decision.alive),
-                )
-        wire_sends = (
-            self._batchers[pid].pack(sends) if self._batchers is not None else sends
-        )
-        for send in wire_sends:
-            self.transports[pid].t_data_rq(
-                send.dst, encode_message(send.message), kind=send.kind
-            )
-        if node_storage is not None and node_storage.should_snapshot():
-            node_storage.save_snapshot(
-                snapshot_of(
-                    self.members[pid],
-                    self.delivered[pid] if self.delivered is not None else (),
-                    round_no=self.scheduler.current_round,
-                )
-            )
+        self.drivers[pid].receive(decoded, expanded)

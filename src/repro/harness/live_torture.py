@@ -161,10 +161,13 @@ def audit_group(group: AsyncGroup, *, converged: bool) -> list[str]:
     processed_by: dict[Mid, set[ProcessId]] = {}
     discarded: set[Mid] = set()
     for node in group.nodes:
-        generated.extend(node.generated_mids)
-        discarded.update(node.discarded_mids)
         for message in node.delivered:
             processed_by.setdefault(message.mid, set()).add(node.pid)
+            # A member processes its own message as it generates it.
+            if message.mid.origin == node.pid:
+                generated.append(message.mid)
+        discarded.update(node.service.lost_mids)
+        discarded.update(node.service.discarded_mids)
     return audit_streams(
         streams, generated, processed_by, active, discarded, converged=converged
     )

@@ -13,6 +13,9 @@ the target is unambiguous:
 * ``mod.func(...)`` — via the import map (:func:`~repro.lint.engine.
   qualified_name`);
 * ``self.method(...)`` — a method of the enclosing class;
+* ``self.attr.method(...)`` — a method of ``Cls`` when the enclosing
+  class assigns ``self.attr = Cls(...)`` and exactly one class in the
+  tree is named ``Cls``;
 * ``obj.method(...)`` — *only* when exactly one class in the whole
   tree defines ``method`` and the name is not a common container verb
   (``append``, ``get``, ...), so ``self.storage.log_generated(...)``
@@ -28,6 +31,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from .dataflow import self_attr
 from .engine import Module, imported_names, qualified_name
 
 __all__ = ["FunctionInfo", "CallSite", "CallGraph", "build_call_graph"]
@@ -82,6 +86,11 @@ class CallGraph:
         self._methods_by_name: dict[str, list[str]] = {}
         #: (module, top-level function name) -> qualname
         self._module_functions: dict[tuple[str, str], str] = {}
+        #: class name -> "module:Class" of every class with that name
+        self._classes_by_name: dict[str, set[str]] = {}
+        #: (module, class, attribute) -> class name of ``self.attr = Cls(...)``
+        #: ("" when the class assigns the attribute from two classes)
+        self._attr_classes: dict[tuple[str, str, str], str] = {}
 
     # -- queries -------------------------------------------------------
 
@@ -102,6 +111,20 @@ class CallGraph:
         self.functions[info.qualname] = info
         if info.cls is not None:
             self._methods_by_name.setdefault(info.name, []).append(info.qualname)
+            self._classes_by_name.setdefault(info.cls, set()).add(
+                f"{info.module}:{info.cls}"
+            )
+            for node in ast.walk(info.node):
+                if (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                ):
+                    built = node.value.func.id
+                    for attr in filter(None, map(self_attr, node.targets)):
+                        key = (info.module, info.cls, attr)
+                        if self._attr_classes.setdefault(key, built) != built:
+                            self._attr_classes[key] = ""  # built as two classes
         else:
             self._module_functions[(info.module, info.name)] = info.qualname
 
@@ -129,6 +152,15 @@ class CallGraph:
             own = f"{info.module}:{info.cls}.{func.attr}"
             if own in self.functions:
                 return own
+        # self.attr.method(...) -> method of the class self.attr was built as.
+        attr = self_attr(func.value)
+        if attr is not None and info.cls is not None:
+            cls = self._attr_classes.get((info.module, info.cls, attr))
+            owners = self._classes_by_name.get(cls, ()) if cls is not None else ()
+            if len(owners) == 1:
+                target = f"{next(iter(owners))}.{func.attr}"
+                if target in self.functions:
+                    return target
         # mod.func(...) via the import map.
         dotted = qualified_name(func, imports)
         if dotted is not None and "." in dotted:

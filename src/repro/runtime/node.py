@@ -1,10 +1,10 @@
 """One urcgc node on the asyncio LAN.
 
-Hosts a :class:`~repro.core.member.Member` engine: a round-ticker task
-fires the two protocol rounds per subrun at a configurable cadence and
-a receiver task feeds decoded datagrams to the engine; both execute
-the engine's effects (sends to the LAN, deliveries to the application
-callback).
+Hosts a :class:`~repro.core.driver.MemberDriver` (the member engine,
+its user SAP and the effect pipeline the simulator shares): a
+round-ticker task fires the two protocol rounds per subrun at a
+configurable cadence and a receiver task feeds decoded datagrams to
+the driver, which sends to the LAN and indicates to the application.
 
 Use :class:`AsyncGroup` to spin up a whole group at once.
 """
@@ -15,39 +15,18 @@ import asyncio
 import time
 from typing import Callable
 
-from ..core.batcher import Batcher, expand_message
+from ..core.batcher import expand_message
 from ..core.config import UrcgcConfig
-from ..core.effects import (
-    Confirm,
-    DecisionApplied,
-    Deliver,
-    Discarded,
-    Effect,
-    Left,
-    Rejoined,
-    Send,
-    SuspicionChange,
-)
+from ..core.driver import MemberDriver, settled
+from ..core.effects import SuspicionChange
 from ..core.member import Member
-from ..core.message import (
-    DecisionMessage,
-    GenerateBatch,
-    RequestMessage,
-    UserMessage,
-)
-from ..core.mid import Mid
-from ..core.validate import validate_message
+from ..core.message import UserMessage
+from ..core.service import UrcgcService
 from ..errors import WireFormatError
 from ..net.addressing import BROADCAST_GROUP
-from ..net.wire import BatchFrame, decode_message, encode_message
+from ..net.wire import decode_message
 from ..obs import NULL_RECORDER, Recorder, write_jsonl
-from ..storage import (
-    GroupStorage,
-    NodeStorage,
-    SnapshotJob,
-    restore_member,
-    snapshot_of,
-)
+from ..storage import GroupStorage, NodeStorage, SnapshotJob, restore_member
 from ..types import ProcessId, SubrunNo
 from .lan import AsyncLan
 from .rtt import AdaptiveRoundTimer
@@ -102,55 +81,62 @@ class AsyncNode:
         self.storage = storage
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._obs = self.recorder.enabled
-        if self._obs and storage is not None:
-            storage.bind_registry(self.recorder.registry)
-        self.member = Member(pid, config)
-        #: Wire batcher (None when batching is off).  Effect
-        #: bookkeeping always sees the original sends; only the
-        #: transmission path goes through ``pack``.
-        self._batcher: Batcher | None = (
-            Batcher(
-                config.batching,
-                registry=self.recorder.registry if self._obs else None,
-                clock=time.perf_counter if self._obs else None,
-            )
-            if config.batching is not None
-            else None
-        )
         self._lan = lan
         self._endpoint = lan.attach(pid)
         lan.join(BROADCAST_GROUP, pid)
         self.round_interval = round_interval
         self.adaptive_timer = adaptive_timer
-        self._request_sent_at: dict[int, float] = {}
-        self._on_indication = on_indication
+        #: The member's effect pipeline (see :mod:`repro.core.driver`).
+        self.driver = MemberDriver(
+            pid,
+            config,
+            transmit=lambda dst, data, kind: lan.sendto(pid, dst, data, kind=kind),
+            clock=time.monotonic,
+            recorder=self.recorder,
+            storage=storage,
+            round_timer=adaptive_timer,
+            persist=self._persist_snapshot,
+        )
+        if on_indication is not None:
+            self.service.set_indication_handler(
+                lambda message: on_indication(pid, message)
+            )
         self._tasks: list[asyncio.Task] = []
         #: In-flight snapshot persistence (runs on the default executor).
         self._snapshot_task: asyncio.Task | None = None
-        self._round = 0
-        self.delivered: list[UserMessage] = []
-        self.confirmed_mids: list = []
-        #: Mids this node generated / saw destroyed by orphan discard —
-        #: the live analogue of the simulator's DeliveryLog, read by
-        #: the chaos harness to audit Uniform Atomicity.
-        self.generated_mids: list[Mid] = []
-        self.discarded_mids: list[Mid] = []
-        #: Datagrams dropped by the hardened decode path: structurally
-        #: malformed bytes or semantically out-of-range PDUs.
-        self.decode_errors = 0
-        #: Batch-expanded sub-messages suppressed as duplicates before
-        #: reaching the engine (fabric duplication x batching).
-        self.dup_suppressed = 0
-        #: Suspicion transitions the failure detector reported.
-        self.suspicion_events: list[SuspicionChange] = []
         self.crashed = False
         self._stopped = asyncio.Event()
 
     # ------------------------------------------------------------------
 
     def submit(self, payload: bytes) -> None:
-        """urcgc.data.Rq: queue a payload for the next round."""
-        self.member.submit(payload)
+        """urcgc.data.Rq: queue a payload for the next round; the
+        request handle lands in ``service.confirmed`` once generated."""
+        self.service.data_rq(payload)
+
+    @property
+    def member(self) -> Member:
+        return self.driver.member
+
+    @property
+    def service(self) -> UrcgcService:
+        """The urcgc SAP: indications, confirms, discards."""
+        return self.driver.service
+
+    @property
+    def delivered(self) -> list[UserMessage]:
+        """Every message processed here, in processing order."""
+        return self.driver.service.delivered
+
+    @property
+    def decode_errors(self) -> int:
+        """Datagrams dropped by the hardened decode path."""
+        return self.driver.decode_errors
+
+    @property
+    def suspicion_events(self) -> list[SuspicionChange]:
+        """Suspicion transitions the failure detector reported."""
+        return self.driver.suspicion_events
 
     @property
     def has_left(self) -> bool:
@@ -158,11 +144,11 @@ class AsyncNode:
 
     @property
     def current_round(self) -> int:
-        return self._round
+        return self.driver.round
 
     @property
     def current_subrun(self) -> int:
-        return self._round // 2
+        return self.driver.round // 2
 
     @property
     def is_live(self) -> bool:
@@ -229,13 +215,9 @@ class AsyncNode:
         snapshot, records = self.storage.load()
         member, delivered = restore_member(self.pid, self.config, snapshot, records)
         member.begin_rejoin()
-        self.member = member
-        self.delivered = delivered
-        self.generated_mids = [
-            message.mid for message in delivered if message.mid.origin == self.pid
-        ]
-        self._round = snapshot.round_no if snapshot is not None else 0
-        self._request_sent_at.clear()
+        self.driver.restart(
+            member, delivered, snapshot.round_no if snapshot is not None else 0
+        )
         # Datagrams queued while dead belong to the old incarnation.
         while not self._endpoint.queue.empty():
             self._endpoint.queue.get_nowait()
@@ -250,10 +232,10 @@ class AsyncNode:
 
     async def _ticker(self) -> None:
         while not self._stopped.is_set() and not self.member.has_left:
-            if self._obs and self._round % 2 == 0:
-                self.recorder.subrun(self._round // 2, node=int(self.pid))
-            self._execute(self.member.on_round(self._round))
-            self._round += 1
+            round_no = self.driver.round
+            if self._obs and round_no % 2 == 0:
+                self.recorder.subrun(round_no // 2, node=int(self.pid))
+            self.driver.tick(round_no)
             interval = (
                 self.adaptive_timer.interval()
                 if self.adaptive_timer is not None
@@ -261,15 +243,7 @@ class AsyncNode:
             )
             await asyncio.sleep(interval)
 
-    def _count_decode_error(self, reason: str) -> None:
-        self.decode_errors += 1
-        if self._obs:
-            self.recorder.registry.count(
-                "net.decode_error", node=int(self.pid), reason=reason
-            )
-
     async def _receiver(self) -> None:
-        loop = asyncio.get_running_loop()
         while not self._stopped.is_set():
             datagram = await self._endpoint.recv()
             if self.member.has_left:
@@ -280,174 +254,24 @@ class AsyncNode:
             except WireFormatError:
                 # Malformed datagram (bad tag, truncation, garbage):
                 # a loss, never a crash of the receive loop.
-                self._count_decode_error("parse")
+                self.driver.decode_error("parse")
                 continue
-            batched = isinstance(decoded, (BatchFrame, GenerateBatch))
-            for message in expanded:
-                if self.member.has_left:
-                    break
-                problem = validate_message(message, self.config.n)
-                if problem is not None:
-                    # Structurally valid but semantically out of range
-                    # (forged vector, member index >= n): drop it.
-                    self._count_decode_error("range")
-                    continue
-                if (
-                    batched
-                    and isinstance(message, UserMessage)
-                    and self.member.already_seen(message.mid)
-                ):
-                    # A duplicated batch frame re-expands every sub-
-                    # message; suppress the copies here so duplication
-                    # x batching does not multiply-count in the
-                    # engine's duplicate accounting.
-                    self.dup_suppressed += 1
-                    if self._obs:
-                        self.recorder.registry.count(
-                            "batch.dup_suppressed", node=int(self.pid)
-                        )
-                    continue
-                if (
-                    self.adaptive_timer is not None
-                    and isinstance(message, DecisionMessage)
-                ):
-                    # One request->decision echo = one rtd sample.
-                    sent = self._request_sent_at.pop(
-                        int(message.decision.number), None
-                    )
-                    if sent is not None:
-                        rtt = loop.time() - sent
-                        self.adaptive_timer.observe(rtt)
-                        if self._obs:
-                            self.recorder.registry.observe(
-                                "runtime.rtt", rtt, node=int(self.pid)
-                            )
-                self._execute(self.member.on_message(message))
+            self.driver.receive(decoded, expanded)
 
-    def _execute(self, effects: list[Effect]) -> None:
-        sends: list[Send] = []
-        for effect in effects:
-            if isinstance(effect, Send):
-                sends.append(effect)
-                if isinstance(effect.message, RequestMessage):
-                    if self.adaptive_timer is not None:
-                        self._request_sent_at[int(effect.message.subrun)] = (
-                            asyncio.get_running_loop().time()
-                        )
-                        # Bound the table: forget ancient unanswered probes.
-                        if len(self._request_sent_at) > 64:
-                            oldest = min(self._request_sent_at)
-                            del self._request_sent_at[oldest]
-                    if self._obs:
-                        self.recorder.request(
-                            int(effect.message.subrun), node=int(self.pid)
-                        )
-                elif isinstance(effect.message, DecisionMessage):
-                    if self._obs:
-                        self.recorder.decision(
-                            int(effect.message.decision.number), node=int(self.pid)
-                        )
-                elif (
-                    isinstance(effect.message, UserMessage)
-                    and effect.message.mid.origin == self.pid
-                ):
-                    self.generated_mids.append(effect.message.mid)
-                    if self._obs:
-                        self.recorder.generated(
-                            effect.message.mid,
-                            effect.message.deps,
-                            node=int(self.pid),
-                        )
-                    if self.storage is not None:
-                        # Log-before-send: a sent message is always in
-                        # the WAL, so recovery never reuses its seq.
-                        # That ordering is why the append stays inline
-                        # (small buffered write, see docs/ANALYSIS.md).
-                        self.storage.log_generated(effect.message)  # lint: disable=I502
-            elif isinstance(effect, Deliver):
-                self.delivered.append(effect.message)
-                if self._obs:
-                    self.recorder.processed(effect.message.mid, node=int(self.pid))
-                if (
-                    self.storage is not None
-                    and effect.message.mid.origin != self.pid
-                ):
-                    # Own messages were logged at generation time.
-                    # Inline by design: the record must be durable
-                    # before the indication callback fires below
-                    # (log-before-indicate, see docs/ANALYSIS.md).
-                    self.storage.log_processed(effect.message)  # lint: disable=I502
-                if self._on_indication is not None:
-                    self._on_indication(self.pid, effect.message)
-            elif isinstance(effect, Confirm):
-                self.confirmed_mids.append(effect.mid)
-            elif isinstance(effect, Discarded):
-                self.discarded_mids.extend((effect.lost, *effect.discarded))
-                if self._obs:
-                    self.recorder.discarded(
-                        effect.lost,
-                        node=int(self.pid),
-                        count=1 + len(effect.discarded),
-                    )
-            elif isinstance(effect, DecisionApplied):
-                if self._obs:
-                    self.recorder.decision(
-                        int(effect.decision.number),
-                        node=int(self.pid),
-                        applied=True,
-                    )
-                if self.storage is not None:
-                    # Inline by design: the decision must hit the WAL
-                    # before any send it unblocks leaves this effect
-                    # batch (log-before-send, see docs/ANALYSIS.md).
-                    self.storage.log_decision(effect.decision)  # lint: disable=I502
-            elif isinstance(effect, SuspicionChange):
-                self.suspicion_events.append(effect)
-                if self._obs:
-                    self.recorder.suspect(
-                        effect.pid,
-                        suspected=effect.suspected,
-                        node=int(self.pid),
-                        reason=effect.reason,
-                    )
-                    self.recorder.registry.count(
-                        "fd.suspect" if effect.suspected else "fd.unsuspect",
-                        node=int(self.pid),
-                    )
-            elif isinstance(effect, Rejoined):
-                pass  # observable via member state / group view
-            elif isinstance(effect, Left):
-                pass  # observable via member state
-        wire_sends = self._batcher.pack(sends) if self._batcher is not None else sends
-        for send in wire_sends:
-            self._lan.sendto(
-                self.pid, send.dst, encode_message(send.message), kind=send.kind
-            )
-        realign = self.member.consume_realignment()
-        if realign is not None and realign > self._round:
-            # Rejoin completed: fall in step with the group's clock.
-            self._round = realign
-        if self.storage is not None and self.storage.should_snapshot():
-            self._start_snapshot()
+    def _persist_snapshot(self, job: SnapshotJob) -> None:
+        """Persist a captured snapshot off the event loop.
 
-    def _start_snapshot(self) -> None:
-        """Capture a snapshot now; persist it off the event loop.
-
-        The capture (state encode + WAL tail handoff) is pure CPU and
-        happens synchronously here, so the snapshot is a consistent cut
-        of the engine.  The blocking backend write (fsync + rename on
-        ``FileBackend``) runs on the default executor so the loop —
+        The capture (state encode + WAL tail handoff) already happened
+        synchronously in the driver, so the snapshot is a consistent
+        cut of the engine.  The blocking backend write (fsync + rename
+        on ``FileBackend``) runs on the default executor so the loop —
         shared by every node in the group — keeps ticking.
         """
-        assert self.storage is not None
-        job = self.storage.begin_snapshot(
-            snapshot_of(self.member, self.delivered, round_no=self._round)
-        )
         self._snapshot_task = asyncio.create_task(
-            self._persist_snapshot(job), name=f"urcgc-snap-p{self.pid}"
+            self._persist_off_loop(job), name=f"urcgc-snap-p{self.pid}"
         )
 
-    async def _persist_snapshot(self, job: SnapshotJob) -> None:
+    async def _persist_off_loop(self, job: SnapshotJob) -> None:
         await asyncio.get_running_loop().run_in_executor(None, job.persist)
         if self.storage is not None:
             self.storage.finish_snapshot()
@@ -520,14 +344,7 @@ class AsyncGroup:
     def quiescent(self) -> bool:
         """All live nodes agree on what was processed and have nothing
         pending or waiting (vacuously true with no live node)."""
-        live = self.live_nodes
-        if not live:
-            return True
-        if any(node.member.pending_submissions for node in live):
-            return False
-        if any(node.member.waiting_length for node in live):
-            return False
-        return len({node.member.last_processed_vector() for node in live}) == 1
+        return settled(node.member for node in self.live_nodes)
 
     async def crash(
         self, pid: ProcessId, *, partial_deliveries: int | None = None

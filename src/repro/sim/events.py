@@ -25,12 +25,13 @@ PRIORITY_ROUND = 10
 PRIORITY_DEFAULT = 20
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled callback.
 
-    Comparison fields come first so heapq can order events directly;
-    the callback and its payload are excluded from comparison.
+    The queue orders events by ``(time, priority, seq)`` through the
+    heap entries it keeps; the callback and its payload are excluded
+    from equality.
     """
 
     time: Time
@@ -49,7 +50,9 @@ class EventQueue:
     """A deterministic min-heap of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        #: ``(time, priority, seq, event)`` entries: ``seq`` is unique,
+        #: so tuple comparison never reaches the event itself.
+        self._heap: list[tuple[Time, int, int, Event]] = []
         self._counter = itertools.count()
         self._now: Time = 0.0
 
@@ -59,7 +62,7 @@ class EventQueue:
         return self._now
 
     def __len__(self) -> int:
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def push(
         self,
@@ -74,8 +77,9 @@ class EventQueue:
             raise ScheduleInPastError(
                 f"cannot schedule {label or action!r} at t={time} < now={self._now}"
             )
-        event = Event(time, priority, next(self._counter), action, label)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, action, label)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     def pop(self) -> Event | None:
@@ -84,7 +88,7 @@ class EventQueue:
         Returns ``None`` when the queue is exhausted.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -93,9 +97,9 @@ class EventQueue:
 
     def peek_time(self) -> Time | None:
         """Return the time of the next pending event without popping."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def clear(self) -> None:
         """Drop every pending event (the clock is left untouched)."""

@@ -112,28 +112,13 @@ class NodeStorage:
             and self.records_since_snapshot >= self.snapshot_interval
         )
 
-    def save_snapshot(self, snapshot: MemberSnapshot) -> None:
-        """Persist ``snapshot`` and truncate the WAL behind it.
-
-        The synchronous path (the simulator's, where blocking is the
-        point).  Drivers on an event loop use :meth:`begin_snapshot` /
-        :meth:`finish_snapshot` instead.
-        """
-        if self._flight_tail is not None:
-            raise RuntimeError("a snapshot is already in flight")
-        self.backend.write(self._snapshot_name, encode_snapshot(snapshot))
-        self.wal.reset()
-        self.records_since_snapshot = 0
-        self.snapshots_taken += 1
-        if self._registry is not None:
-            self._registry.count("storage.snapshots", node=int(self.pid))
-
     def begin_snapshot(self, snapshot: MemberSnapshot) -> SnapshotJob:
-        """Capture ``snapshot`` for asynchronous persistence.
+        """Capture ``snapshot`` for persistence.
 
         Pure CPU: encodes the blob and starts buffering every WAL
         record appended while the write is in flight.  Run the returned
-        job's :meth:`SnapshotJob.persist` on any thread, then call
+        job's :meth:`SnapshotJob.persist` on any thread (the simulator
+        runs it inline, the asyncio runtime on an executor), then call
         :meth:`finish_snapshot` from the owning thread to compact the
         WAL.  While a snapshot is in flight :meth:`should_snapshot` is
         False, so the cadence cannot start a second one.

@@ -87,11 +87,6 @@ class WriteAheadLog:
         self.backend.append(self.name, record)
         return record
 
-    def reset(self) -> None:
-        """Truncate the log (called after a snapshot covers it)."""
-        self.backend.write(self.name, b"")
-        self.truncated_bytes = 0
-
     def rewrite(self, records: list[bytes]) -> None:
         """Atomically replace the log with the given framed records.
 

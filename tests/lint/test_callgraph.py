@@ -50,6 +50,35 @@ def test_cross_module_import_resolution():
     assert graph.function("m:dotted").callees == {"util:settle"}
 
 
+def test_self_attribute_built_from_a_class_resolves_its_methods():
+    # ``tick`` is defined twice, so only the constructor assignment
+    # tells the graph which one ``self.driver.tick()`` reaches.
+    graph = graph_of(
+        (
+            "pipeline",
+            "class Driver:\n"
+            "    def tick(self):\n"
+            "        pass\n"
+            "class Clock:\n"
+            "    def tick(self):\n"
+            "        pass\n",
+        ),
+        (
+            "m",
+            "class Node:\n"
+            "    def __init__(self):\n"
+            "        self.driver = Driver()\n"
+            "        self.mixed = Driver()\n"
+            "    def rebuild(self):\n"
+            "        self.mixed = Clock()\n"
+            "    async def loop(self):\n"
+            "        self.driver.tick()\n"
+            "        self.mixed.tick()\n",
+        ),
+    )
+    assert graph.function("m:Node.loop").callees == {"pipeline:Driver.tick"}
+
+
 def test_unique_method_heuristic_and_common_name_blocklist():
     graph = graph_of(
         (

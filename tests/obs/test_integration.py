@@ -10,14 +10,16 @@ import asyncio
 
 import pytest
 
-from repro.core.config import UrcgcConfig
+from repro.core.config import FailureDetectorConfig, UrcgcConfig
 from repro.harness.cluster import SimCluster
+from repro.harness.live_torture import audit_group
+from repro.net.faults import FaultPlan
 from repro.obs import message_timeline, read_jsonl
 from repro.runtime.chaos import ChaosFabric
 from repro.runtime.lan import AsyncLan
 from repro.runtime.node import AsyncGroup
 from repro.types import ProcessId
-from repro.workloads.generators import FixedBudgetWorkload
+from repro.workloads.generators import FixedBudgetWorkload, ScriptedWorkload
 
 
 def _sim_cluster(observability: bool) -> SimCluster:
@@ -142,3 +144,91 @@ class TestLiveTrace:
         assert group.recorder.events == []
         with pytest.raises(RuntimeError):
             group.write_trace("never-written.jsonl")
+
+
+# ----------------------------------------------------------------------
+# one scenario, both drivers: the same spans
+# ----------------------------------------------------------------------
+
+VICTIM = ProcessId(3)
+
+
+def _orphan_config() -> UrcgcConfig:
+    return UrcgcConfig(
+        n=4,
+        K=2,
+        observability=True,
+        failure_detector=FailureDetectorConfig(kind="heartbeat"),
+    )
+
+
+def _orphan_plan() -> FaultPlan:
+    """Only the victim ever holds its first message: the broadcast and
+    every recovery response are dropped, so once the victim crashes
+    its second message is an orphan the survivors must discard."""
+    plan = FaultPlan()
+    data_sent = [0]
+
+    def drop(packet, now) -> bool:
+        if packet.src != VICTIM:
+            return False
+        if packet.kind == "data":
+            data_sent[0] += 1
+            return data_sent[0] == 1
+        return packet.kind == "ctrl-recovery-rsp"
+
+    plan.custom_send_filter = drop
+    return plan
+
+
+def _spans(recorder, kind: str) -> set[tuple[int, str | None]]:
+    return {(e.node, e.mid) for e in recorder.events if e.kind == kind}
+
+
+def test_sim_and_live_record_suspect_and_discarded_spans():
+    plan = _orphan_plan()
+    cluster = SimCluster(
+        _orphan_config(),
+        workload=ScriptedWorkload({0: [(VICTIM, b"a"), (VICTIM, b"b")]}),
+        faults=plan,
+        max_rounds=300,
+    )
+    plan.crashes.crash(VICTIM, 3.2)
+    assert cluster.run_until_quiescent(drain_subruns=4) is not None
+
+    async def live() -> AsyncGroup:
+        group = AsyncGroup(
+            _orphan_config(),
+            lan=ChaosFabric(AsyncLan(), _orphan_plan()),
+            round_interval=0.004,
+        )
+        group.start()
+        try:
+            group.nodes[VICTIM].submit(b"a")
+            group.nodes[VICTIM].submit(b"b")
+            await group.wait_until(
+                lambda: any(
+                    node.member.waiting_length
+                    for node in group.nodes
+                    if node.pid != VICTIM
+                ),
+                timeout=10.0,
+            )
+            await group.crash(VICTIM)
+            await group.wait_until(
+                lambda: _spans(group.recorder, "discarded") and group.quiescent(),
+                timeout=20.0,
+            )
+        finally:
+            await group.stop()
+        return group
+
+    group = asyncio.run(live())
+    survivors = {0, 1, 2}
+    for recorder in (cluster.recorder, group.recorder):
+        assert {node for node, _ in _spans(recorder, "suspect")} <= survivors
+        assert _spans(recorder, "suspect")
+        assert {mid for _, mid in _spans(recorder, "discarded")} == {"p3:1"}
+    assert _spans(group.recorder, "discarded") <= _spans(cluster.recorder, "discarded")
+    # The live audit exempts the lost message and its dependents.
+    assert audit_group(group, converged=True) == []

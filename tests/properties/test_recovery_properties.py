@@ -69,7 +69,7 @@ def test_full_replay_reproduces_live_state(scenario):
     member, delivered = restore_member(pid, cluster.config, snapshot, records)
     live = cluster.members[pid]
     assert member.last_processed_vector() == live.last_processed_vector()
-    assert [m.mid for m in delivered] == [m.mid for m in cluster.delivered[pid]]
+    assert [m.mid for m in delivered] == [m.mid for m in cluster.services[pid].delivered]
     for origin in range(n):
         assert member.history.floor(ProcessId(origin)) == live.history.floor(
             ProcessId(origin)

@@ -79,10 +79,11 @@ def test_group_stop_survives_membership_mutation():
 
 
 def test_snapshot_blob_writes_happen_off_the_loop_thread():
-    # I502 regression: save_snapshot ran its backend write inline in
-    # _execute; with a FileBackend that is fsync + rename on the one
-    # thread every node shares.  The write must land on an executor
-    # thread, with no WAL record lost around the compaction.
+    # I502 regression: a synchronous snapshot save ran its backend write
+    # inline in the effect pipeline; with a FileBackend that is fsync +
+    # rename on the one thread every node shares.  The write must land
+    # on an executor thread, with no WAL record lost around the
+    # compaction.
     async def main() -> None:
         loop_thread = threading.get_ident()
         backend = ThreadRecordingBackend()

@@ -95,7 +95,7 @@ def test_confirms_recorded():
         group.start()
         try:
             await group.run_workload([(ProcessId(1), b"a"), (ProcessId(1), b"b")], timeout=10)
-            assert len(group.nodes[1].confirmed_mids) == 2
+            assert len(group.nodes[1].service.confirmed) == 2
         finally:
             await group.stop()
 

@@ -48,12 +48,12 @@ def test_snapshot_roundtrip_after_traffic():
     cluster, storage = run_cluster()
     for pid in PIDS:
         live = cluster.members[pid]
-        snapshot = snapshot_of(live, cluster.delivered[pid], round_no=10)
+        snapshot = snapshot_of(live, cluster.services[pid].delivered, round_no=10)
         decoded = decode_snapshot(encode_snapshot(snapshot))
         restored, delivered = restore_member(pid, cluster.config, decoded, [])
         assert restored.last_processed_vector() == live.last_processed_vector()
         assert [m.mid for m in delivered] == [
-            m.mid for m in cluster.delivered[pid]
+            m.mid for m in cluster.services[pid].delivered
         ]
         assert decoded.round_no == 10
 
@@ -73,7 +73,7 @@ def test_restore_from_snapshot_plus_wal():
                 restored.last_processed_vector() == live.last_processed_vector()
             ), f"pid {pid} interval {interval}"
             assert [m.mid for m in delivered] == [
-                m.mid for m in cluster.delivered[pid]
+                m.mid for m in cluster.services[pid].delivered
             ]
 
 

@@ -29,12 +29,13 @@ def test_snapshot_cadence():
     assert storage.should_snapshot()
 
 
-def test_save_snapshot_truncates_wal_and_resets_counter():
+def test_snapshot_truncates_wal_and_resets_counter():
     storage = NodeStorage(MemoryBackend(), ProcessId(0), snapshot_interval=2)
     storage.log_generated(msg(0, 1))
     storage.log_generated(msg(0, 2))
     member = Member(ProcessId(0), UrcgcConfig(n=3))
-    storage.save_snapshot(snapshot_of(member, []))
+    storage.begin_snapshot(snapshot_of(member, [])).persist()
+    storage.finish_snapshot()
     assert storage.records_since_snapshot == 0
     assert storage.snapshots_taken == 1
     snapshot, records = storage.load()
@@ -120,8 +121,6 @@ def test_double_begin_and_stray_finish_rejected():
     storage.begin_snapshot(fresh_snapshot())
     with pytest.raises(RuntimeError, match="already in flight"):
         storage.begin_snapshot(fresh_snapshot())
-    with pytest.raises(RuntimeError, match="already in flight"):
-        storage.save_snapshot(fresh_snapshot())
 
 
 def test_crash_before_persist_loses_nothing():

@@ -74,9 +74,9 @@ def test_order_preserved(wal):
     assert [r.pdu.mid.seq for r in records] == [1, 2, 3, 4, 5]
 
 
-def test_reset_truncates(wal):
+def test_rewrite_to_empty_truncates(wal):
     wal.append_generated(msg(0, 1))
-    wal.reset()
+    wal.rewrite([])
     assert wal.open() == []
 
 
